@@ -72,8 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _ArgError(f"cannot write --out {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

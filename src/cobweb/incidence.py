@@ -13,9 +13,12 @@ empty chain, so their diagonal is 1.
 
 from __future__ import annotations
 
+import copy
 import json
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from operator import mul
+from typing import Callable, Mapping, Sequence, Union
 
 from .poset import FinitePoset, Pair, Vertex
 
@@ -26,18 +29,114 @@ FULL_NAMES = ("delta", "zeta", "eta", "chi", "C", "M")
 
 def _exact(v: Value) -> Value:
     """Collapse denominator-1 fractions to plain int."""
-    if isinstance(v, Fraction) and v.denominator == 1:
+    if type(v) is not int and isinstance(v, Fraction) and v.denominator == 1:
         return int(v)
     return v
 
 
-class IncidenceFunction:
+def _split(ranks: Sequence[int], flat: list) -> tuple[list[int], list, list[list], list[list]]:
+    """Per point of a table: the index of the first point of a higher rank,
+    the diagonal value, the values at the points from that index on (its row),
+    and the values at the points of a lower rank (its column)."""
+    bases = [bisect_right(ranks, r) for r in ranks]
+    diag, rows, cols, i = [], [], [[] for _ in ranks], 0
+    for base in bases:
+        diag.append(flat[i])
+        rows.append(flat[i + 1 : i + 1 + len(ranks) - base])
+        i += 1 + len(ranks) - base
+    for r in dict.fromkeys(ranks):  # the rows of one rank span the same points
+        start, base = bisect_left(ranks, r), bisect_right(ranks, r)
+        for col, part in zip(cols[base:], zip(*rows[start:base])):
+            col.extend(part)
+    return bases, diag, rows, cols
+
+
+class _SegmentAlgebra:
+    """Arithmetic shared by the full and the reduced algebra, on one kernel.
+
+    A table lives on points of ascending rank (vertices, or ranks), and its
+    ``values`` stay total and in canonical order: row by row, the diagonal
+    and then every point of a higher rank.  All points of a lower rank lie
+    below all points of a higher one, so the points strictly inside a segment
+    are one contiguous run.  Subclasses give ``_points`` (the points, their
+    ranks and weights; equal exactly when the level sizes are) and the
+    ``_MISMATCH`` and ``_ZERO_DIAGONAL`` messages.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._points() == other._points() and self.values == other.values
+
+    def __mul__(self, other: object):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.convolve(other)
+
+    def _with_values(self, flat: list):
+        out = copy.copy(self)
+        out.values = dict(zip(self.values, map(_exact, flat)))
+        return out
+
+    def _convolve(self, other):
+        """(f*g)(a,b) = f(a,a)g(a,b) + f(a,b)g(b,b) + the sum of w_c f(a,c) g(c,b)
+        over the points c strictly inside [a, b]."""
+        points = self._points()
+        if not isinstance(other, type(self)) or other._points() != points:
+            raise ValueError(self._MISMATCH)
+        _, ranks, weights = points
+        bases, fd, fr, _ = _split(ranks, list(self.values.values()))
+        _, gd, gr, gc = _split(ranks, list(other.values.values()))
+        out = []
+        for fa, frow, ga, grow, base in zip(fd, fr, gd, gr, bases):
+            wrow = list(map(mul, weights[base:], frow))
+            out.append(fa * ga)
+            out += [
+                fa * gab + fab * gbb + sum(map(mul, wrow, col[base:]))
+                for fab, gab, gbb, col in zip(frow, grow, gd[base:], gc[base:])
+            ]
+        return self._with_values(out)
+
+    def _power(self, k: int):
+        if k < 0:
+            raise ValueError(f"power must be >= 0, got {k}")
+        if k == 0:
+            return self._with_values([int(a == b) for a, b in self.values])
+        out = self
+        for _ in range(k - 1):
+            out = out.convolve(self)
+        return out
+
+    def _invert(self):
+        """inv(a,a) = 1/f(a,a) and inv(a,b) = -(inv(a,a)f(a,b) + the sum of
+        w_c inv(a,c) f(c,b) over c strictly inside [a, b]) / f(b,b), row by row.
+        The reciprocal of a unit is an int, so unit diagonals keep ints exact."""
+        points, ranks, weights = self._points()
+        bases, fd, fr, fc = _split(ranks, list(self.values.values()))
+        if 0 in fd:
+            raise ValueError(self._ZERO_DIAGONAL.format(points[fd.index(0)]))
+        recip = [_exact(Fraction(1, d)) for d in fd]
+        out = []
+        for ia, frow, base in zip(recip, fr, bases):
+            out.append(ia)
+            wrow = []
+            for fab, rb, w, col in zip(frow, recip[base:], weights[base:], fc[base:]):
+                v = -(ia * fab + sum(map(mul, wrow, col[base:]))) * rb
+                out.append(v)
+                wrow.append(w * v)
+        return self._with_values(out)
+
+
+class IncidenceFunction(_SegmentAlgebra):
     """Exact-valued function on the comparable pairs of one poset.
 
     The table is total: every comparable pair has an entry (missing input
     entries are filled with 0), and pairs that are not comparable are
     implicitly 0 and cannot hold a value.
     """
+
+    _MISMATCH = "poset mismatch: operands live on different posets"
+    _ZERO_DIAGONAL = "not invertible: value at ({0}, {0}) is zero"
 
     def __init__(self, poset: FinitePoset, values: Mapping[Pair, Value]):
         for x, y in values:
@@ -53,7 +152,7 @@ class IncidenceFunction:
 
     @classmethod
     def _raw(cls, poset: FinitePoset, table: dict[Pair, Value]) -> "IncidenceFunction":
-        # internal fast path: table already total and exact
+        # internal fast path: table already total, exact and in canonical order
         f = cls.__new__(cls)
         f.poset = poset
         f.values = table
@@ -67,6 +166,10 @@ class IncidenceFunction:
             poset, {(x, y): _exact(fn(x, y)) for x, y in poset.comparable_pairs()}
         )
 
+    def _points(self) -> tuple[Sequence, list[int], list[int]]:
+        vs = self.poset.vertices
+        return vs, [v.s for v in vs], [1] * len(vs)
+
     def value(self, x: Vertex, y: Vertex) -> Value:
         """f(x, y); 0 whenever x <= y fails."""
         self.poset._require(x)
@@ -75,42 +178,13 @@ class IncidenceFunction:
 
     __call__ = value
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IncidenceFunction):
-            return NotImplemented
-        return self.poset.same_shape(other.poset) and self.values == other.values
-
-    def _check_compatible(self, other: "IncidenceFunction") -> None:
-        if self.poset is not other.poset and not self.poset.same_shape(other.poset):
-            raise ValueError("poset mismatch: operands live on different posets")
-
     def convolve(self, other: "IncidenceFunction") -> "IncidenceFunction":
         """Segment convolution; associative, with the diagonal function as identity."""
-        self._check_compatible(other)
-        fv, gv = self.values, other.values
-        out: dict[Pair, Value] = {}
-        for key, terms in self.poset.convolution_plan():
-            acc: Value = 0
-            for a, b in terms:
-                acc += fv[a] * gv[b]
-            out[key] = acc if type(acc) is int else _exact(acc)
-        return IncidenceFunction._raw(self.poset, out)
-
-    def __mul__(self, other: object):
-        if not isinstance(other, IncidenceFunction):
-            return NotImplemented
-        return self.convolve(other)
+        return self._convolve(other)
 
     def power(self, k: int) -> "IncidenceFunction":
         """k-fold convolution; k = 0 gives the identity (diagonal) function."""
-        if k < 0:
-            raise ValueError(f"power must be >= 0, got {k}")
-        if k == 0:
-            return standard_full("delta", self.poset)
-        out = self
-        for _ in range(k - 1):
-            out = out.convolve(self)
-        return out
+        return self._power(k)
 
     def invert(self) -> "IncidenceFunction":
         """Two-sided convolution inverse.
@@ -119,23 +193,7 @@ class IncidenceFunction:
         inv(x,x) = 1/f(x,x) and
         inv(x,y) = -(1/f(y,y)) * sum of inv(x,z) f(z,y) over x <= z < y.
         """
-        p = self.poset
-        fv = self.values
-        for v in p.vertices:
-            if fv[(v, v)] == 0:
-                raise ValueError(f"not invertible: value at ({v}, {v}) is zero")
-        pairs = sorted(p.comparable_pairs(), key=lambda pair: pair[1].s - pair[0].s)
-        inv: dict[Pair, Value] = {}
-        for x, y in pairs:
-            if x == y:
-                inv[(x, y)] = _exact(Fraction(1) / Fraction(fv[(x, y)]))
-            else:
-                acc: Value = 0
-                for z in p.segment(x, y):
-                    if z != y:
-                        acc += inv[(x, z)] * fv[(z, y)]
-                inv[(x, y)] = _exact(-Fraction(acc) / Fraction(fv[(y, y)]))
-        return IncidenceFunction._raw(p, inv)
+        return self._invert()
 
     # -- serialization ------------------------------------------------------
 

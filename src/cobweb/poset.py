@@ -65,7 +65,6 @@ class FinitePoset:
         }
         self._segments: dict[Pair, tuple[Vertex, ...]] = {}
         self._pairs: tuple[Pair, ...] | None = None
-        self._conv_plan: list[tuple[Pair, tuple[tuple[Pair, Pair], ...]]] | None = None
         self._memo_chains: dict[tuple[Vertex, Vertex, int], int] = {}
         self._memo_multi: dict[tuple[Vertex, Vertex, int], int] = {}
         self._memo_maximal: dict[tuple[Vertex, Vertex, int], int] = {}
@@ -89,12 +88,6 @@ class FinitePoset:
     def rank(self, x: Vertex) -> int:
         self._require(x)
         return x.s
-
-    def same_shape(self, other: "FinitePoset") -> bool:
-        return (
-            self.max_level == other.max_level
-            and self.seq.prefix(self.max_level) == other.seq.prefix(other.max_level)
-        )
 
     def leq(self, x: Vertex, y: Vertex) -> bool:
         """Order relation: x <= y iff rank(x) < rank(y), or x == y."""
@@ -132,15 +125,6 @@ class FinitePoset:
                         pairs.append((x, y))
             self._pairs = tuple(pairs)
         return self._pairs
-
-    def convolution_plan(self):
-        """Per comparable pair, the ((x,z),(z,y)) key pairs of its segment terms."""
-        if self._conv_plan is None:
-            self._conv_plan = [
-                (pair, tuple(((pair[0], z), (z, pair[1])) for z in self.segment(*pair)))
-                for pair in self.comparable_pairs()
-            ]
-        return self._conv_plan
 
     # -- enumeration oracles ------------------------------------------------
 

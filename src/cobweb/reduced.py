@@ -12,15 +12,13 @@ by the verification suite.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence
 
-from .incidence import IncidenceFunction, _exact
+from .incidence import IncidenceFunction, Value, _exact, _SegmentAlgebra
 from .poset import FinitePoset
 from .sequences import FSequence
 
-Value = Union[int, Fraction]
 RankPair = tuple[int, int]
 
 REDUCED_NAMES = (
@@ -76,12 +74,15 @@ def incidence_coefficient(seq: FSequence, k: int, n: int, l: int) -> int:
     return seq.value_at(l)
 
 
-class ReducedFunction:
+class ReducedFunction(_SegmentAlgebra):
     """Exact-valued triangular table over rank pairs (k, n), k <= n <= max_rank.
 
     Missing input entries are filled with 0; pairs with k > n are implicitly 0.
     When the level-0 size is 0 the triangle starts at rank 1.
     """
+
+    _MISMATCH = "shape mismatch: operands have different sequences or max ranks"
+    _ZERO_DIAGONAL = "not invertible: zero diagonal at rank {0}"
 
     def __init__(self, seq: FSequence, max_rank: int, values: Mapping[RankPair, Value]):
         triangle = rank_triangle(seq, max_rank)
@@ -122,67 +123,21 @@ class ReducedFunction:
 
     __call__ = value
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReducedFunction):
-            return NotImplemented
-        return (
-            self.max_rank == other.max_rank
-            and self.seq.prefix(self.max_rank) == other.seq.prefix(other.max_rank)
-            and self.values == other.values
-        )
-
-    def _check_compatible(self, other: "ReducedFunction") -> None:
-        if self.max_rank != other.max_rank or self.seq.prefix(self.max_rank) != other.seq.prefix(
-            other.max_rank
-        ):
-            raise ValueError("shape mismatch: operands have different sequences or max ranks")
+    def _points(self) -> tuple[Sequence, Sequence[int], list[int]]:
+        ranks = range(self.min_rank, self.max_rank + 1)
+        return ranks, ranks, [self.seq.value_at(l) for l in ranks]
 
     def convolve(self, other: "ReducedFunction") -> "ReducedFunction":
         """Rank-pair convolution with the level-size incidence coefficients."""
-        self._check_compatible(other)
-        seq = self.seq
-        fv, gv = self.values, other.values
-        out: dict[RankPair, Value] = {}
-        for k, n in self.values:
-            acc: Value = 0
-            for l in range(k, n + 1):
-                acc += incidence_coefficient(seq, k, n, l) * fv[(k, l)] * gv[(l, n)]
-            out[(k, n)] = acc
-        return ReducedFunction(seq, self.max_rank, out)
-
-    def __mul__(self, other: object):
-        if not isinstance(other, ReducedFunction):
-            return NotImplemented
-        return self.convolve(other)
+        return self._convolve(other)
 
     def power(self, s: int) -> "ReducedFunction":
         """s-fold convolution; s = 0 gives the identity table."""
-        if s < 0:
-            raise ValueError(f"power must be >= 0, got {s}")
-        if s == 0:
-            return standard_reduced("delta", self.seq, self.max_rank)
-        out = self
-        for _ in range(s - 1):
-            out = out.convolve(self)
-        return out
+        return self._power(s)
 
     def invert(self) -> "ReducedFunction":
         """Two-sided inverse under the reduced convolution; exact values."""
-        fv = self.values
-        for k in range(self.min_rank, self.max_rank + 1):
-            if fv[(k, k)] == 0:
-                raise ValueError(f"not invertible: zero diagonal at rank {k}")
-        seq = self.seq
-        inv: dict[RankPair, Value] = {}
-        for k, n in sorted(self.values, key=lambda t: t[1] - t[0]):
-            if k == n:
-                inv[(k, n)] = _exact(Fraction(1) / Fraction(fv[(k, k)]))
-            else:
-                acc: Value = 0
-                for l in range(k, n):
-                    acc += incidence_coefficient(seq, k, n, l) * inv[(k, l)] * fv[(l, n)]
-                inv[(k, n)] = _exact(-Fraction(acc) / Fraction(fv[(n, n)]))
-        return ReducedFunction(seq, self.max_rank, inv)
+        return self._invert()
 
     def lift(self, poset: FinitePoset) -> IncidenceFunction:
         """The rank-dependent incidence function with value f(rank(x), rank(y)).
@@ -190,9 +145,7 @@ class ReducedFunction:
         Distinct same-level vertices are incomparable, so they carry no entry
         (implicitly 0); the diagonal maps to f(k, k).
         """
-        if poset.max_level != self.max_rank or poset.seq.prefix(poset.max_level) != self.seq.prefix(
-            self.max_rank
-        ):
+        if poset.seq.prefix(poset.max_level) != self.seq.prefix(self.max_rank):
             raise ValueError("shape mismatch: poset does not match this table")
         vals = self.values
         return IncidenceFunction.from_callable(poset, lambda x, y: vals[(x.s, y.s)])

@@ -184,3 +184,23 @@ def test_bad_rank_pair_exits_2(capsys):
     )
     assert code == 2
     assert "--from" in err
+
+
+def test_out_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.csv"
+    code, out, err = run_cli_expecting_exit(
+        capsys, "mobius", "--seq", "fibonacci", "--n", "3", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot write --out" in err
+    assert "Traceback" not in err
+
+
+def test_out_directory_path_exits_2(tmp_path, capsys):
+    code, out, err = run_cli_expecting_exit(
+        capsys, "export-dot", "--seq", "fibonacci", "--n", "3", "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot write --out" in err
