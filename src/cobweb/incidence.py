@@ -17,6 +17,7 @@ import copy
 import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Callable, Mapping, Sequence, Union
 
@@ -103,27 +104,58 @@ class _SegmentAlgebra:
         if k == 0:
             return self._with_values([int(a == b) for a, b in self.values])
         out = self
-        for _ in range(k - 1):
-            out = out.convolve(self)
+        for bit in bin(k)[3:]:  # repeated squaring over the bits below the leading one
+            out = out.convolve(out)
+            if bit == "1":
+                out = out.convolve(self)
         return out
 
     def _invert(self):
-        """inv(a,a) = 1/f(a,a) and inv(a,b) = -(inv(a,a)f(a,b) + the sum of
-        w_c inv(a,c) f(c,b) over c strictly inside [a, b]) / f(b,b), row by row.
-        The reciprocal of a unit is an int, so unit diagonals keep ints exact."""
+        """Exact inverse in integers, after Bareiss's fraction-free elimination.
+
+        A table with Fraction entries is first scaled to ints by the lcm s of
+        its denominators: inv(f) = s inv(s f).  Row a then gets one
+        denominator D_a: f(a,a) times, for every higher rank, the lcm of
+        |f(c,c)| over the points c of that rank.  A chain from a meets each
+        rank at most once, so D_a clears every denominator in the row, and
+        the numerators N(a,b) = D_a inv(a,b) follow the segment recursion
+        N(a,b) = -(N(a,a)f(a,b) + the sum of w_c N(a,c) f(c,b) over c strictly
+        inside [a, b]) / f(b,b) with exact integer division; a remainder
+        raises ArithmeticError.  Each stored entry is s N(a,b) / D_a: an int
+        when D_a is 1 or -1, otherwise one Fraction, collapsed to int when it
+        divides.
+        """
         points, ranks, weights = self._points()
-        bases, fd, fr, fc = _split(ranks, list(self.values.values()))
+        flat = list(self.values.values())
+        scale = lcm(*(v.denominator for v in flat if type(v) is not int))
+        if scale != 1:
+            flat = [v.numerator * (scale // v.denominator) for v in flat]
+        bases, fd, fr, fc = _split(ranks, flat)
         if 0 in fd:
             raise ValueError(self._ZERO_DIAGONAL.format(points[fd.index(0)]))
-        recip = [_exact(Fraction(1, d)) for d in fd]
+        rank_lcm: dict[int, int] = {}
+        for r, d in zip(ranks, fd):
+            rank_lcm[r] = lcm(rank_lcm.get(r, 1), d)
+        above, prod = {}, 1  # per rank: the product of rank_lcm over the higher ranks
+        for r in reversed(rank_lcm):
+            above[r] = prod
+            prod *= rank_lcm[r]
         out = []
-        for ia, frow, base in zip(recip, fr, bases):
-            out.append(ia)
-            wrow = []
-            for fab, rb, w, col in zip(frow, recip[base:], weights[base:], fc[base:]):
-                v = -(ia * fab + sum(map(mul, wrow, col[base:]))) * rb
-                out.append(v)
+        for da, frow, base, r in zip(fd, fr, bases, ranks):
+            na = above[r]
+            row, wrow = [na], []
+            for fab, db, w, col in zip(frow, fd[base:], weights[base:], fc[base:]):
+                num = -(na * fab + sum(map(mul, wrow, col[base:])))
+                v, rem = divmod(num, db)
+                if rem:
+                    raise ArithmeticError(f"inexact row numerator: {num} mod {db} is {rem}")
+                row.append(v)
                 wrow.append(w * v)
+            den = da * na
+            if den == 1 or den == -1:
+                out += [scale * den * v for v in row]
+            else:
+                out += [Fraction(scale * v, den) for v in row]
         return self._with_values(out)
 
 

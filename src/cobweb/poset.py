@@ -3,13 +3,14 @@
 A cobweb poset is layered: level s holds pairwise-incomparable vertices
 <1,s>..<F_s,s>, and every vertex of a lower level lies below every vertex of
 every higher level.  Everything in this module answers questions by walking
-that explicit order relation (depth-first enumeration, memoized per vertex),
-never by closed-form shortcuts; the algebra modules are validated against
-these counts.
+that explicit order relation (segments built on demand, depth-first
+enumeration memoized per vertex pair), never by closed-form shortcuts; the
+algebra modules are validated against these counts.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .sequences import FSequence
@@ -31,8 +32,10 @@ Pair = tuple[Vertex, Vertex]
 class FinitePoset:
     """The cobweb poset truncated at ``max_level``, with all structure explicit.
 
-    Immutable after construction; the internal memo tables only cache pure
-    query results, so instances are safe to share across concurrent readers.
+    Immutable after construction.  Segments are not cached: each call slices
+    the level-ordered vertex list.  The DFS oracles memoize their counts per
+    vertex pair (and length), pure query results only, so instances are safe
+    to share across concurrent readers.
     """
 
     def __init__(self, seq: FSequence, max_level: int):
@@ -63,7 +66,8 @@ class FinitePoset:
             v: self.levels[v.s + 1] if v.s < max_level else ()
             for v in self.vertices
         }
-        self._segments: dict[Pair, tuple[Vertex, ...]] = {}
+        # index in ``vertices`` of the first vertex of each level, and one past the last
+        self._starts = [0, *accumulate(map(len, self.levels))]
         self._pairs: tuple[Pair, ...] | None = None
         self._memo_chains: dict[tuple[Vertex, Vertex, int], int] = {}
         self._memo_multi: dict[tuple[Vertex, Vertex, int], int] = {}
@@ -99,20 +103,11 @@ class FinitePoset:
         """All z with x <= z <= y, ascending by (level, position); empty if x !<= y."""
         self._require(x)
         self._require(y)
-        key = (x, y)
-        cached = self._segments.get(key)
-        if cached is None:
-            if x == y:
-                cached = (x,)
-            elif x.s < y.s:
-                mid = tuple(
-                    z for lvl in range(x.s + 1, y.s) for z in self.levels[lvl]
-                )
-                cached = (x, *mid, y)
-            else:
-                cached = ()
-            self._segments[key] = cached
-        return cached
+        if x == y:
+            return (x,)
+        if x.s < y.s:
+            return (x, *self.vertices[self._starts[x.s + 1] : self._starts[y.s]], y)
+        return ()
 
     def comparable_pairs(self) -> tuple[Pair, ...]:
         """Every ordered pair x <= y, ascending by (x.s, x.j, y.s, y.j)."""

@@ -139,6 +139,14 @@ def test_verify_passes(capsys):
     assert out.count("PASS") == 11
 
 
+def test_verify_empty_poset_passes(capsys):
+    # custom:0 at n=0 has no vertices, so no wrong variant can be refuted
+    code, out, _ = run_cli(capsys, "verify", "--seq", "custom:0", "--n", "0")
+    assert code == 0
+    assert "11/11 checks passed" in out
+    assert "PASS negative-controls: no comparable pairs" in out
+
+
 # -- argument errors -------------------------------------------------------------------
 
 

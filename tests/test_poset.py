@@ -117,6 +117,16 @@ def test_segment_size_formula(seq):
             assert len(p.segment(x, y)) == want
 
 
+@given(small_sequences())
+@settings(max_examples=40)
+def test_segment_is_order_interval_and_uncached(seq):
+    p = build_poset(seq, seq.max_index)
+    for x, y in product(p.vertices, repeat=2):
+        want = tuple(z for z in p.vertices if p.leq(x, z) and p.leq(z, y))
+        assert p.segment(x, y) == want
+    assert not hasattr(p, "_segments")
+
+
 # -- chain counting oracles ---------------------------------------------------
 # Naive re-derivations, independent of the DFS in the library: a strict chain
 # between x and y is a set of interior vertices with pairwise distinct levels.

@@ -1,14 +1,16 @@
 """The shared segment-sum kernel against the slow routes it replaced.
 
 Full convolution is checked against an explicit sum over ``FinitePoset.segment``,
-reduced convolution against a sum weighted by ``incidence_coefficient``, and
-both inverses against the identity, over level shapes with an empty root,
+reduced convolution against a sum weighted by ``incidence_coefficient``, both
+inverses against the identity and against the textbook ``Fraction`` recursion,
+and powers against repeated convolution, over level shapes with an empty root,
 with singleton levels only, with uneven levels, and with Fibonacci levels.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobweb import (
@@ -125,3 +127,92 @@ def test_results_keep_canonical_key_order():
         assert list(got.values) == list(p.comparable_pairs())
     for got in (r.invert(), r.power(0), r.power(3)):
         assert list(got.values) == rank_triangle(seq, n)
+
+
+def oracle_full_inverse(f):
+    """inv(a,a) = 1/f(a,a), inv(a,b) = -(1/f(b,b)) * sum of inv(a,c) f(c,b) over
+    the explicit segment a <= c < b, in Fraction arithmetic throughout."""
+    p, inv = f.poset, {}
+    for a, b in p.comparable_pairs():  # every (a, c) with c < b comes before (a, b)
+        if a == b:
+            inv[(a, b)] = 1 / Fraction(f(a, a))
+        else:
+            total = sum(inv[(a, c)] * f(c, b) for c in p.segment(a, b)[:-1])
+            inv[(a, b)] = -total / f(b, b)
+    return inv
+
+
+def oracle_reduced_inverse(r):
+    """The same recursion over ranks, each rank l weighted by incidence_coefficient."""
+    seq, inv = r.seq, {}
+    for k, m in r.triangle():
+        if k == m:
+            inv[(k, m)] = 1 / Fraction(r(k, k))
+        else:
+            total = sum(
+                incidence_coefficient(seq, k, m, l) * inv[(k, l)] * r(l, m) for l in range(k, m)
+            )
+            inv[(k, m)] = -total / r(m, m)
+    return inv
+
+
+def assert_matches_oracle(got, want):
+    assert list(got.values) == list(want)
+    for key, v in want.items():
+        assert got.values[key] == v, key
+        assert type(got.values[key]) is (int if v.denominator == 1 else Fraction), key
+
+
+DIAGONALS = (
+    (1, -1),
+    (1, -1, 2, -2, 3, -3),
+    (Fraction(1, 2), Fraction(-3, 4)),
+    (2, -3, Fraction(1, 2), Fraction(-3, 4)),
+    # off-diagonal denominators divide 6, so the table scales by 6 to a unit diagonal
+    (Fraction(1, 6), Fraction(-1, 6)),
+)
+
+
+@given(shapes, st.sampled_from(DIAGONALS), seeds)
+@settings(max_examples=60, deadline=None)
+def test_inverses_match_fraction_oracle(shape, diagonal, seed):
+    spec, n = shape
+    p, seq = POSETS[spec], make_sequence(spec, n)
+    rng = random.Random(seed)
+    f = rand_full(p, rng, diagonal)
+    r = rand_reduced(seq, n, rng, diagonal)
+    assert_matches_oracle(f.invert(), oracle_full_inverse(f))
+    assert_matches_oracle(r.invert(), oracle_reduced_inverse(r))
+
+
+# left-to-right repeated squaring: one squaring per bit below the leading one,
+# plus one product with the base per further set bit
+CONVOLUTIONS = {0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 4}
+
+
+@pytest.mark.parametrize("spec,n", SHAPES)
+def test_power_is_repeated_convolution(spec, n, monkeypatch):
+    p, seq = POSETS[spec], make_sequence(spec, n)
+    rng = random.Random(n)
+    for table, delta in (
+        (rand_full(p, rng), standard_full("delta", p)),
+        (rand_reduced(seq, n, rng), standard_reduced("delta", seq, n)),
+    ):
+        folded = [delta]
+        for _ in range(7):
+            folded.append(folded[-1].convolve(table))
+        calls = []
+        convolve = type(table).convolve
+
+        def counted(f, g):
+            calls.append(1)
+            return convolve(f, g)
+
+        monkeypatch.setattr(type(table), "convolve", counted)
+        for k, want in enumerate(folded):
+            calls.clear()
+            got = table.power(k)
+            assert got == want, k
+            assert list(got.values) == list(want.values), k
+            assert len(calls) == CONVOLUTIONS[k], k
+        monkeypatch.undo()
