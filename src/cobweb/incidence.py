@@ -17,8 +17,9 @@ import copy
 import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable, Mapping, Sequence, Union
 
 from .poset import FinitePoset, Pair, Vertex
@@ -35,21 +36,24 @@ def _exact(v: Value) -> Value:
     return v
 
 
-def _split(ranks: Sequence[int], flat: list) -> tuple[list[int], list, list[list], list[list]]:
+def _split(ranks: Sequence[int], flat: list) -> tuple[list[int], list, list[list]]:
     """Per point of a table: the index of the first point of a higher rank,
-    the diagonal value, the values at the points from that index on (its row),
-    and the values at the points of a lower rank (its column)."""
+    the diagonal value, and the values at the points from that index on (its row)."""
     bases = [bisect_right(ranks, r) for r in ranks]
-    diag, rows, cols, i = [], [], [[] for _ in ranks], 0
+    diag, rows, i = [], [], 0
     for base in bases:
         diag.append(flat[i])
         rows.append(flat[i + 1 : i + 1 + len(ranks) - base])
         i += 1 + len(ranks) - base
-    for r in dict.fromkeys(ranks):  # the rows of one rank span the same points
-        start, base = bisect_left(ranks, r), bisect_right(ranks, r)
-        for col, part in zip(cols[base:], zip(*rows[start:base])):
-            col.extend(part)
-    return bases, diag, rows, cols
+    return bases, diag, rows
+
+
+def _integral(flat: list) -> tuple[int, list[int]]:
+    """The lcm s of the denominators of a table's values, and s times each value."""
+    scale = lcm(*(v.denominator for v in flat if type(v) is not int))
+    if scale != 1:
+        flat = [v.numerator * (scale // v.denominator) for v in flat]
+    return scale, flat
 
 
 class _SegmentAlgebra:
@@ -76,26 +80,56 @@ class _SegmentAlgebra:
 
     def _with_values(self, flat: list):
         out = copy.copy(self)
-        out.values = dict(zip(self.values, map(_exact, flat)))
+        out.values = dict(zip(self.values, flat))
         return out
 
     def _convolve(self, other):
         """(f*g)(a,b) = f(a,a)g(a,b) + f(a,b)g(b,b) + the sum of w_c f(a,c) g(c,b)
-        over the points c strictly inside [a, b]."""
+        over the points c strictly inside [a, b], one multiply-add of ints per row.
+
+        Fraction tables are first scaled to ints: f*g = (s f)*(t g) / (s t), with
+        s, t the lcm of their denominators.  The row of g at c, over the points
+        of a higher rank, is packed into one int P_c, g(c,b) in the slot at
+        place N-1-b of the N points; row a of f*g, but for f(a,b)g(b,b), is
+        then f(a,a) P_a + the sum of w_c f(a,c) P_c over c of a higher rank.
+        A slot's sum is at most max|f| max|g| (the sum of all weights) in
+        absolute value; slots get the whole bytes that hold it, and g's values,
+        with one bit to spare, biased by half their range to read back unsigned.
+        """
         points = self._points()
         if not isinstance(other, type(self)) or other._points() != points:
             raise ValueError(self._MISMATCH)
         _, ranks, weights = points
-        bases, fd, fr, _ = _split(ranks, list(self.values.values()))
-        _, gd, gr, gc = _split(ranks, list(other.values.values()))
-        out = []
-        for fa, frow, ga, grow, base in zip(fd, fr, gd, gr, bases):
-            wrow = list(map(mul, weights[base:], frow))
-            out.append(fa * ga)
-            out += [
-                fa * gab + fab * gbb + sum(map(mul, wrow, col[base:]))
-                for fab, gab, gbb, col in zip(frow, grow, gd[base:], gc[base:])
-            ]
+        s, ff = _integral(list(self.values.values()))
+        t, gf = _integral(list(other.values.values()))
+        bases, fd, fr = _split(ranks, ff)
+        _, gd, _ = _split(ranks, gf)
+        n = len(ranks)
+        mf, mg = (max(map(abs, flat), default=0) for flat in (ff, gf))
+        bound = max(mf, 1) * mg * sum(weights)
+        width = (bound.bit_length() + 8) // 8  # bytes per slot
+        half = 1 << (8 * width - 1)
+        bias = int.from_bytes(half.to_bytes(width, "big") * (n + 1), "big")  # half in n+1 slots
+        from_bytes = int.from_bytes
+        biased = b"".join(
+            map(int.to_bytes, map(add, gf, repeat(half)), repeat(width), repeat("big"))
+        )
+        packed, end = [], 0
+        for base in bases:  # the row of g at c fills the bytes up to end, its diagonal first
+            start, end = end + width, end + width * (1 + n - base)
+            packed.append(from_bytes(biased[start:end], "big") - (bias >> 8 * width * (base + 1)))
+        slots = [slice(i, i + width) for i in range(0, width * (n + 1), width)]
+        out, gcol = [], []  # gcol: g(b,b) for the pair (a,b) at the same place in out
+        for fa, frow, ga, pa, base in zip(fd, fr, gd, packed, bases):
+            row = sum(map(mul, map(mul, weights[base:], frow), packed[base:]), fa * pa)
+            # one slot more than the row, for the pair (a,a): it reads back as 0
+            data = (row + (bias >> 8 * width * base)).to_bytes(width * (1 + len(frow)), "big")
+            out += map(from_bytes, map(data.__getitem__, slots[: 1 + len(frow)]), repeat("big"))
+            gcol.append(ga)
+            gcol += gd[base:]
+        out = list(map(sub, map(add, out, map(mul, ff, gcol)), repeat(half)))
+        if s * t != 1:
+            out = [_exact(Fraction(v, s * t)) for v in out]
         return self._with_values(out)
 
     def _power(self, k: int):
@@ -126,11 +160,13 @@ class _SegmentAlgebra:
         divides.
         """
         points, ranks, weights = self._points()
-        flat = list(self.values.values())
-        scale = lcm(*(v.denominator for v in flat if type(v) is not int))
-        if scale != 1:
-            flat = [v.numerator * (scale // v.denominator) for v in flat]
-        bases, fd, fr, fc = _split(ranks, flat)
+        scale, flat = _integral(list(self.values.values()))
+        bases, fd, fr = _split(ranks, flat)
+        fc = [[] for _ in ranks]  # per point, the values at the points of a lower rank
+        for r in dict.fromkeys(ranks):  # the rows of one rank span the same points
+            start, base = bisect_left(ranks, r), bisect_right(ranks, r)
+            for col, part in zip(fc[base:], zip(*fr[start:base])):
+                col.extend(part)
         if 0 in fd:
             raise ValueError(self._ZERO_DIAGONAL.format(points[fd.index(0)]))
         rank_lcm: dict[int, int] = {}
@@ -155,7 +191,7 @@ class _SegmentAlgebra:
             if den == 1 or den == -1:
                 out += [scale * den * v for v in row]
             else:
-                out += [Fraction(scale * v, den) for v in row]
+                out += [_exact(Fraction(scale * v, den)) for v in row]
         return self._with_values(out)
 
 
@@ -171,16 +207,22 @@ class IncidenceFunction(_SegmentAlgebra):
     _ZERO_DIAGONAL = "not invertible: value at ({0}, {0}) is zero"
 
     def __init__(self, poset: FinitePoset, values: Mapping[Pair, Value]):
-        for x, y in values:
-            if not poset.leq(x, y):
-                raise ValueError(
-                    f"value on non-comparable pair ({x}, {y}); "
-                    "incidence functions vanish off the order relation"
-                )
+        pairs = poset.comparable_pairs()
+        if list(values) != list(pairs):  # else the keys are every comparable pair, in order
+            vs = poset._vertex_set
+            for x, y in values:
+                # poset.leq inlined, and called only to raise its error for a foreign vertex
+                if not (x in vs and y in vs and (x.s < y.s or x == y)) and not poset.leq(x, y):
+                    raise ValueError(
+                        f"value on non-comparable pair ({x}, {y}); "
+                        "incidence functions vanish off the order relation"
+                    )
+            values = dict(zip(pairs, map(values.get, pairs, repeat(0))))
         self.poset = poset
-        self.values: dict[Pair, Value] = {
-            pair: _exact(values.get(pair, 0)) for pair in poset.comparable_pairs()
-        }
+        self.values: dict[Pair, Value] = (
+            dict(values) if set(map(type, values.values())) <= {int}
+            else dict(zip(pairs, map(_exact, values.values())))
+        )
 
     @classmethod
     def _raw(cls, poset: FinitePoset, table: dict[Pair, Value]) -> "IncidenceFunction":

@@ -97,6 +97,10 @@ class FinitePoset:
         """Order relation: x <= y iff rank(x) < rank(y), or x == y."""
         self._require(x)
         self._require(y)
+        return self._leq(x, y)
+
+    def _leq(self, x: Vertex, y: Vertex) -> bool:
+        """``leq`` without the membership checks, for vertices of this poset."""
         return x.s < y.s or x == y
 
     def segment(self, x: Vertex, y: Vertex) -> tuple[Vertex, ...]:

@@ -147,8 +147,17 @@ class ReducedFunction(_SegmentAlgebra):
         """
         if poset.seq.prefix(poset.max_level) != self.seq.prefix(self.max_rank):
             raise ValueError("shape mismatch: poset does not match this table")
-        vals = self.values
-        return IncidenceFunction.from_callable(poset, lambda x, y: vals[(x.s, y.s)])
+        return IncidenceFunction._raw(poset, dict(zip(poset.comparable_pairs(), self._lifted())))
+
+    def _lifted(self) -> list[Value]:
+        """The values of the lifted table in canonical pair order: one row per
+        rank, each value f(k, m) repeated F_m times, and the row repeated F_k times."""
+        vals, F, top = self.values, self.seq.value_at, self.max_rank
+        flat: list[Value] = []
+        for k in range(self.min_rank, top + 1):
+            row = [vals[(k, m)] for m in range(k + 1, top + 1) for _ in range(F(m))]
+            flat += ([vals[(k, k)]] + row) * F(k)
+        return flat
 
     # -- serialization ------------------------------------------------------
 
@@ -256,6 +265,13 @@ def project(f: IncidenceFunction) -> ReducedFunction:
     the executable membership test for the reduced algebra.
     """
     p = f.poset
+    # the first pair of each rank type, in canonical order, sets its value
+    first = ReducedFunction(p.seq, p.max_level, {
+        (k, m): f.values[(p.levels[k][0], p.levels[m][0])]
+        for k, m in rank_triangle(p.seq, p.max_level)
+    })
+    if first._lifted() == list(f.values.values()):
+        return first
     table: dict[RankPair, Value] = {}
     witness: dict[RankPair, tuple] = {}
     for x, y in p.comparable_pairs():

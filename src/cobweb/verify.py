@@ -66,15 +66,15 @@ def check_order_axioms(p: FinitePoset) -> CheckResult:
     """Reflexivity, antisymmetry and transitivity of the order relation."""
     name = "order-axioms"
     for v in p.vertices:
-        if not p.leq(v, v):
+        if not p._leq(v, v):
             return _fail(name, f"leq({v},{v}) is false")
     for x in p.vertices:
         for y in p.vertices:
-            if p.leq(x, y) and p.leq(y, x) and x != y:
+            if p._leq(x, y) and p._leq(y, x) and x != y:
                 return _fail(name, f"antisymmetry broken at ({x}, {y})")
     for x, y in p.comparable_pairs():
         for z in p.vertices:
-            if p.leq(y, z) and not p.leq(x, z):
+            if p._leq(y, z) and not p._leq(x, z):
                 return _fail(name, f"transitivity broken at ({x}, {y}, {z})")
     return _ok(name, f"{len(p.vertices)} vertices checked exhaustively")
 
@@ -97,7 +97,7 @@ def check_structure(p: FinitePoset) -> CheckResult:
         got = sum(1 for u, w in p.hasse_edges if u.s == lvl)
         if got != want:
             return _fail(name, f"levels ({lvl},{lvl + 1}): {got} edges, expected {want}")
-    minimal = [v for v in p.vertices if not any(p.leq(u, v) for u in p.vertices if u != v)]
+    minimal = [v for v in p.vertices if not any(p._leq(u, v) for u in p.vertices if u != v)]
     if seq.value_at(0) == 1 and minimal != [p.levels[0][0]]:
         return _fail(name, f"expected unique minimum <1,0>, found {minimal}")
     return _ok(name, f"{len(p.hasse_edges)} hasse edges")

@@ -56,6 +56,19 @@ def test_values_only_on_comparable_pairs():
         IncidenceFunction(FIB3, {(Vertex(1, 2), Vertex(2, 2)): 1})
 
 
+def test_constructor_order_exactness_and_errors():
+    pairs = FIB3.comparable_pairs()
+    vals = {pair: Fraction(4, 2) if pair == (X, Y) else i for i, pair in enumerate(pairs)}
+    for given in (vals, dict(reversed(vals.items()))):  # canonical order, and not
+        f = IncidenceFunction(FIB3, given)
+        assert list(f.values) == list(pairs)
+        assert f.values == vals and type(f.values[(X, Y)]) is int
+    with pytest.raises(ValueError, match=r"vertex <1,9> not in poset \(levels 0\.\.3\)"):
+        IncidenceFunction(FIB3, {(X, Vertex(1, 9)): 1})
+    with pytest.raises(ValueError, match=r"non-comparable pair \(<1,3>, <1,0>\)"):
+        IncidenceFunction(FIB3, {(Y, X): 1})
+
+
 def test_partial_table_fills_zero():
     f = IncidenceFunction(FIB3, {(X, Y): 7})
     assert f.value(X, Y) == 7
@@ -202,3 +215,18 @@ def test_json_rows():
     assert len(rows) == len(FIB3.comparable_pairs())
     inv = IncidenceFunction(FIB3, {(v, v): 2 for v in FIB3.vertices}).invert()
     assert json.loads(inv.to_json())[0] == [1, 0, 1, 0, "1/2"]
+
+
+def test_json_bytes():
+    p = build_poset(make_sequence("custom:1,2", 1), 1)
+    x, y, z = p.vertices
+    f = IncidenceFunction(p, {(x, x): 1, (x, y): Fraction(-1, 2), (z, z): 3})
+    want = (
+        '[\n'
+        '  [\n    1,\n    0,\n    1,\n    0,\n    1\n  ],\n'
+        '  [\n    1,\n    0,\n    1,\n    1,\n    "-1/2"\n  ],\n'
+        '  [\n    1,\n    0,\n    2,\n    1,\n    0\n  ],\n'
+        '  [\n    1,\n    1,\n    1,\n    1,\n    0\n  ],\n'
+        '  [\n    2,\n    1,\n    2,\n    1,\n    3\n  ]\n]\n'
+    )
+    assert f.to_json() == want

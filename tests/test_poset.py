@@ -193,6 +193,18 @@ def test_bad_length_rejected():
         FIB3.count_multichains(X, Y, 0)
 
 
+def test_maximal_chain_length_zero_rejected():
+    with pytest.raises(ValueError, match="chain length must be >= 1, got 0"):
+        FIB3.count_maximal_chains(X, Y, 0)
+
+
+def test_multichains_on_incomparable_pairs():
+    a, b = FIB3.level(2)
+    for k in (1, 2, 3):
+        assert FIB3.count_multichains(a, b, k) == 0
+        assert FIB3.count_multichains(Y, X, k) == 0
+
+
 @given(small_sequences(), st.integers(1, 3))
 @settings(max_examples=25, deadline=None)
 def test_chain_counts_match_naive_enumeration(seq, k):

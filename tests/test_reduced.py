@@ -192,6 +192,13 @@ def test_lift_shape_mismatch():
         standard_reduced("zeta", FIB, 3).lift(other)
 
 
+def test_lift_rejects_poset_differing_at_top_level():
+    table = standard_reduced("zeta", make_sequence("custom:1,1,2,3", 3), 3)
+    other = build_poset(make_sequence("custom:1,1,2,4", 3), 3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        table.lift(other)
+
+
 def test_lift_project_roundtrip():
     for seed in range(5):
         table = rand_table(FIB, 3, seed)
@@ -257,3 +264,9 @@ def test_reduced_json():
     assert obj["0,3"] == 0
     f = ReducedFunction(FIB, 3, {(k, k): 2 for k in range(4)}).invert()
     assert json.loads(f.to_json())["0,0"] == "1/2"
+
+
+def test_json_bytes():
+    seq = make_sequence("custom:1,2", 1)
+    f = ReducedFunction(seq, 1, {(0, 0): 1, (0, 1): Fraction(-1, 2), (1, 1): 3})
+    assert f.to_json() == '{\n  "0,0": 1,\n  "0,1": "-1/2",\n  "1,1": 3\n}\n'

@@ -5,10 +5,14 @@ reduced convolution against a sum weighted by ``incidence_coefficient``, both
 inverses against the identity and against the textbook ``Fraction`` recursion,
 and powers against repeated convolution, over level shapes with an empty root,
 with singleton levels only, with uneven levels, and with Fibonacci levels.
+Products and powers of tables with values up to 10^30, with large
+denominators, and with every value at the same extreme (the slot bound of the
+packed kernel) are checked against the explicit sums too.
 """
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,3 +220,92 @@ def test_power_is_repeated_convolution(spec, n, monkeypatch):
             assert list(got.values) == list(want.values), k
             assert len(calls) == CONVOLUTIONS[k], k
         monkeypatch.undo()
+
+
+def segment_product(p, f, g):
+    """Explicit segment sums over plain dicts of full-algebra values."""
+    return {
+        (x, y): sum(f[(x, z)] * g[(z, y)] for z in p.segment(x, y))
+        for x, y in p.comparable_pairs()
+    }
+
+
+def coefficient_product(seq, n, f, g):
+    """Sums over ranks weighted by incidence_coefficient, over plain dicts."""
+    return {
+        (k, m): sum(
+            incidence_coefficient(seq, k, m, l) * f[(k, l)] * g[(l, m)] for l in range(k, m + 1)
+        )
+        for k, m in rank_triangle(seq, n)
+    }
+
+
+def big_tables(spec, n, rng, magnitude, kind):
+    """A full and a reduced table on one shape: values up to ``magnitude`` with
+    mixed signs, or Fractions with denominators up to ``magnitude``, or every
+    value equal to ``magnitude``, which may be negative (a product of two such
+    tables then comes close to the slot bound)."""
+
+    def value():
+        if kind == "extreme":
+            return magnitude
+        v = rng.randint(-magnitude, magnitude)
+        return Fraction(v, rng.randint(1, magnitude)) if kind == "fraction" else v
+
+    p, seq = POSETS[spec], make_sequence(spec, n)
+    full = IncidenceFunction(p, {pair: value() for pair in p.comparable_pairs()})
+    red = ReducedFunction(seq, n, {t: value() for t in rank_triangle(seq, n)})
+    return full, red
+
+
+def oracle_products(spec, n):
+    p, seq = POSETS[spec], make_sequence(spec, n)
+    return (
+        lambda f, g: segment_product(p, f, g),
+        lambda f, g: coefficient_product(seq, n, f, g),
+    )
+
+
+kinds = st.sampled_from(("mixed", "fraction", "extreme"))
+magnitudes = st.integers(1, 10**30)
+
+
+@given(shapes, kinds, magnitudes, seeds)
+@settings(max_examples=60, deadline=None)
+def test_big_value_products_match_explicit_sums(shape, kind, magnitude, seed):
+    spec, n = shape
+    rng = random.Random(seed)
+    f1, r1 = big_tables(spec, n, rng, magnitude, kind)
+    f2, r2 = big_tables(spec, n, rng, magnitude, "mixed" if kind == "extreme" else kind)
+    for (a, b), product in zip(((f1, f2), (r1, r2)), oracle_products(spec, n)):
+        assert_matches_oracle(a.convolve(b), product(a.values, b.values))
+        assert_matches_oracle(b.convolve(a), product(b.values, a.values))
+
+
+@given(shapes, kinds, magnitudes, seeds)
+@settings(max_examples=15, deadline=None)
+def test_big_value_powers_match_explicit_sums(shape, kind, magnitude, seed):
+    spec, n = shape
+    f, r = big_tables(spec, n, random.Random(seed), magnitude, kind)
+    for table, product in zip((f, r), oracle_products(spec, n)):
+        want = {key: int(key[0] == key[1]) for key in table.values}
+        for k in range(8):
+            assert_matches_oracle(table.power(k), want)
+            want = product(want, table.values)
+
+
+# magnitudes from 1 to about 10^30 whose squares step by one bit, so the slot
+# bound max|f| max|g| (sum of weights) meets every bit length modulo 8
+EXTREMES = [isqrt(1 << j) for j in (*range(16), *range(184, 200))]
+
+
+@pytest.mark.parametrize("spec,n", SHAPES)
+def test_products_at_the_slot_bound(spec, n):
+    for magnitude in EXTREMES:
+        pos = big_tables(spec, n, None, magnitude, "extreme")
+        neg = big_tables(spec, n, None, -magnitude, "extreme")
+        zero = big_tables(spec, n, None, 0, "extreme")  # the slots must still hold g
+        for f, g, z, product in zip(pos, neg, zero, oracle_products(spec, n)):
+            assert_matches_oracle(f.convolve(f), product(f.values, f.values))
+            assert_matches_oracle(g.convolve(f), product(g.values, f.values))
+            assert_matches_oracle(z.convolve(f), product(z.values, f.values))
