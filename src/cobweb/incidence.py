@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
@@ -56,6 +56,24 @@ def _integral(flat: list) -> tuple[int, list[int]]:
     return scale, flat
 
 
+def _pack(flat: list[int], bases: list[int], bound: int) -> tuple[list[int], int, int, int]:
+    """Each point's strict row (its values at the points from its base on) as one
+    int, the value at point b in the signed slot at place N-1-b of the N points.
+    A slot has the whole bytes that hold ``bound``, with one bit to spare; the
+    slot width, half a slot's range and that half in each of N+1 slots (the
+    bias that makes slot sums within ``bound`` read back unsigned) come too."""
+    n = len(bases)
+    width = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "big") * (n + 1), "big")
+    biased = b"".join(map(int.to_bytes, map(add, flat, repeat(half)), repeat(width), repeat("big")))
+    packed, end = [], 0
+    for base in bases:  # the row at c fills the bytes up to end, its diagonal first
+        start, end = end + width, end + width * (1 + n - base)
+        packed.append(int.from_bytes(biased[start:end], "big") - (bias >> 8 * width * (base + 1)))
+    return packed, width, half, bias
+
+
 class _SegmentAlgebra:
     """Arithmetic shared by the full and the reduced algebra, on one kernel.
 
@@ -93,8 +111,7 @@ class _SegmentAlgebra:
         place N-1-b of the N points; row a of f*g, but for f(a,b)g(b,b), is
         then f(a,a) P_a + the sum of w_c f(a,c) P_c over c of a higher rank.
         A slot's sum is at most max|f| max|g| (the sum of all weights) in
-        absolute value; slots get the whole bytes that hold it, and g's values,
-        with one bit to spare, biased by half their range to read back unsigned.
+        absolute value, the bound that sizes the slots (and holds g's values).
         """
         points = self._points()
         if not isinstance(other, type(self)) or other._points() != points:
@@ -106,18 +123,8 @@ class _SegmentAlgebra:
         _, gd, _ = _split(ranks, gf)
         n = len(ranks)
         mf, mg = (max(map(abs, flat), default=0) for flat in (ff, gf))
-        bound = max(mf, 1) * mg * sum(weights)
-        width = (bound.bit_length() + 8) // 8  # bytes per slot
-        half = 1 << (8 * width - 1)
-        bias = int.from_bytes(half.to_bytes(width, "big") * (n + 1), "big")  # half in n+1 slots
+        packed, width, half, bias = _pack(gf, bases, max(mf, 1) * mg * sum(weights))
         from_bytes = int.from_bytes
-        biased = b"".join(
-            map(int.to_bytes, map(add, gf, repeat(half)), repeat(width), repeat("big"))
-        )
-        packed, end = [], 0
-        for base in bases:  # the row of g at c fills the bytes up to end, its diagonal first
-            start, end = end + width, end + width * (1 + n - base)
-            packed.append(from_bytes(biased[start:end], "big") - (bias >> 8 * width * (base + 1)))
         slots = [slice(i, i + width) for i in range(0, width * (n + 1), width)]
         out, gcol = [], []  # gcol: g(b,b) for the pair (a,b) at the same place in out
         for fa, frow, ga, pa, base in zip(fd, fr, gd, packed, bases):
@@ -145,53 +152,80 @@ class _SegmentAlgebra:
         return out
 
     def _invert(self):
-        """Exact inverse in integers, after Bareiss's fraction-free elimination.
+        """Exact inverse in integers, after Bareiss's fraction-free elimination,
+        with one big-integer multiply-add per point of a row.
 
         A table with Fraction entries is first scaled to ints by the lcm s of
-        its denominators: inv(f) = s inv(s f).  Row a then gets one
-        denominator D_a: f(a,a) times, for every higher rank, the lcm of
-        |f(c,c)| over the points c of that rank.  A chain from a meets each
-        rank at most once, so D_a clears every denominator in the row, and
-        the numerators N(a,b) = D_a inv(a,b) follow the segment recursion
-        N(a,b) = -(N(a,a)f(a,b) + the sum of w_c N(a,c) f(c,b) over c strictly
-        inside [a, b]) / f(b,b) with exact integer division; a remainder
-        raises ArithmeticError.  Each stored entry is s N(a,b) / D_a: an int
-        when D_a is 1 or -1, otherwise one Fraction, collapsed to int when it
-        divides.
+        its denominators: inv(f) = s inv(s f).  Row a gets one denominator
+        D_a = f(a,a) N(a,a), with N(a,a) the product, over the ranks above a,
+        of the lcm of |f(c,c)| over the points c of that rank.  A chain from a
+        meets each rank at most once, so the numerators N(a,b) = D_a inv(a,b)
+        are integers: N(a,b) f(b,b) = -S(a,b), where S(a,b) = N(a,a) f(a,b) +
+        the sum of w_c N(a,c) f(c,b) over the points c strictly inside [a, b].
+        Each entry is s N(a,b) / D_a: an int when D_a divides it (always when
+        D_a is 1 or -1), otherwise one Fraction.
+
+        Row a is one accumulator over the strict rows P_c of f, packed into
+        ints by ``_pack``; it starts at N(a,a) P_a.  Points of one rank are
+        incomparable, so when the points b above a are taken in ascending
+        rank, b's slot holds S(a,b) at b's turn (a rank level reads the same
+        point by point as at once).  It is read with one shift and mask and
+        divided by -f(b,b); then N(a,b) times (w_b P_b + f(b,b) in b's slot)
+        is added, which also zeroes b's slot if the division was exact.  A
+        remainder leaves the accumulator nonzero and raises ArithmeticError.
+
+        Slot bound.  With M = max(1, max|f|) and F_r the total weight of rank
+        r, every partial sum in a slot of row a is at most N(a,a) times the
+        product of (1 + M F_r) over the ranks r above a, so at most |D_a|
+        times it.  By induction over those ranks, with B_r = M N(a,a) times
+        the product of (1 + M F_q) over the ranks q strictly between a and r:
+        if |N(a,c)| <= B_q for every c of a rank q < r, every partial sum in a
+        slot of rank r or above is at most M (N(a,a) + the sum of F_q B_q) =
+        B_r, and so is |N(a,b)| <= |S(a,b)| for b of rank r (f(b,b) is a
+        nonzero integer; a floored quotient obeys this too); B_r (1 + M F_r)
+        is B at the next rank.  Each B_r, and each packed value (at most M),
+        is within the product, as M <= 1 + M F_r.  The bound falls with the
+        rank of a, so the lowest rank's sizes the slots.
         """
         points, ranks, weights = self._points()
         scale, flat = _integral(list(self.values.values()))
-        bases, fd, fr = _split(ranks, flat)
-        fc = [[] for _ in ranks]  # per point, the values at the points of a lower rank
-        for r in dict.fromkeys(ranks):  # the rows of one rank span the same points
-            start, base = bisect_left(ranks, r), bisect_right(ranks, r)
-            for col, part in zip(fc[base:], zip(*fr[start:base])):
-                col.extend(part)
+        bases, fd, _ = _split(ranks, flat)
         if 0 in fd:
             raise ValueError(self._ZERO_DIAGONAL.format(points[fd.index(0)]))
-        rank_lcm: dict[int, int] = {}
-        for r, d in zip(ranks, fd):
-            rank_lcm[r] = lcm(rank_lcm.get(r, 1), d)
-        above, prod = {}, 1  # per rank: the product of rank_lcm over the higher ranks
-        for r in reversed(rank_lcm):
-            above[r] = prod
-            prod *= rank_lcm[r]
+        m = max(map(abs, flat), default=1)
+        lcms, totals = {}, {}  # per rank: the lcm of |f(c,c)| over its points, their weight
+        for r, d, w in zip(ranks, fd, weights):
+            lcms[r] = lcm(lcms.get(r, 1), d)
+            totals[r] = totals.get(r, 0) + w
+        above, prod, grow, bound = {}, 1, 1, 1  # above: N(a,a) for the rows of each rank
+        for r in reversed(lcms):  # the bound set last is the lowest rank's
+            above[r], bound = prod, prod * grow
+            prod *= lcms[r]
+            grow *= 1 + m * totals[r]
+        packed, width, half, bias = _pack(flat, bases, bound)
+        step = 8 * width
+        mask = (1 << step) - 1
+        shifts = range(step * (len(ranks) - 1), -1, -step)  # point b's slot is at place N-1-b
+        # per point b: its slot's shift, -f(b,b), and w_b P_b + f(b,b) in the slot of b
+        cols = [(sh, -d, w * p + (d << sh)) for sh, w, p, d in zip(shifts, weights, packed, fd)]
         out = []
-        for da, frow, base, r in zip(fd, fr, bases, ranks):
-            na = above[r]
-            row, wrow = [na], []
-            for fab, db, w, col in zip(frow, fd[base:], weights[base:], fc[base:]):
-                num = -(na * fab + sum(map(mul, wrow, col[base:])))
-                v, rem = divmod(num, db)
-                if rem:
-                    raise ArithmeticError(f"inexact row numerator: {num} mod {db} is {rem}")
-                row.append(v)
-                wrow.append(w * v)
+        for r, da, pa, base in zip(ranks, fd, packed, bases):
+            na, low = above[r], bias >> step * (base + 1)  # low: half in each slot of the row
+            x, row = na * pa + low, [na]
+            for sh, nd, wp in cols[base:]:
+                q = ((x >> sh & mask) - half) // nd
+                x += q * wp
+                row.append(q)
+            if x != low:  # the slot of the first inexact division kept its remainder
+                num, db = next((q * -nd + half - (x >> sh & mask), -nd) for q, (sh, nd, _)
+                               in zip(row[1:], cols[base:]) if x >> sh & mask != half)
+                raise ArithmeticError(f"inexact row numerator: {num} mod {db} is {num % db}")
             den = da * na
             if den == 1 or den == -1:
-                out += [scale * den * v for v in row]
+                out += map(mul, row, repeat(scale * den))
             else:
-                out += [_exact(Fraction(scale * v, den)) for v in row]
+                row = map(mul, row, repeat(scale))
+                out += [v // den if v % den == 0 else Fraction(v, den) for v in row]
         return self._with_values(out)
 
 

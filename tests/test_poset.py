@@ -43,6 +43,13 @@ def test_max_level_beyond_sequence():
         build_poset(FSequence((1, 2)), 5)
 
 
+def test_max_level_guard_boundary():
+    seq = FSequence((1, 2, 3))
+    assert build_poset(seq, len(seq) - 1).max_level == 2
+    with pytest.raises(ValueError, match=r"^max level 3 exceeds sequence length 3$"):
+        build_poset(seq, len(seq))
+
+
 def test_empty_root_level():
     p = build_poset(FSequence((0, 2, 3)), 2)
     assert p.levels[0] == ()

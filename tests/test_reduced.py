@@ -232,6 +232,27 @@ def test_project_rejects_rank_dependent_violation():
     assert "(2, 3)" in str(err)
 
 
+def test_rank_dependence_message_names_both_witnesses():
+    vals = dict(standard_full("zeta", FIB_POSET).values)
+    # the first pair of type (2, 3) that differs from (<1,2>, <1,3>) in both vertices
+    vals[(Vertex(2, 2), Vertex(2, 3))] = 7
+    with pytest.raises(RankDependenceError) as exc:
+        project(standard_full("zeta", FIB_POSET).__class__(FIB_POSET, vals))
+    assert exc.value.witness_pairs == ((Vertex(1, 2), Vertex(1, 3)), (Vertex(2, 2), Vertex(2, 3)))
+    assert exc.value.witness_values == (1, 7)
+    assert str(exc.value) == (
+        "not constant on rank type (2, 3): segment [<1,2>,<1,3>] has value 1 "
+        "but [<2,2>,<2,3>] has value 7"
+    )
+
+
+def test_rank_triangle_guard_boundary():
+    seq = make_sequence("custom:1,2,3", 2)
+    assert rank_triangle(seq, len(seq) - 1)[-1] == (2, 2)
+    with pytest.raises(IndexError, match=r"^max rank 3 exceeds sequence length 3$"):
+        rank_triangle(seq, len(seq))
+
+
 # -- exceptional empty root ---------------------------------------------------------------------
 
 

@@ -5,9 +5,9 @@ reduced convolution against a sum weighted by ``incidence_coefficient``, both
 inverses against the identity and against the textbook ``Fraction`` recursion,
 and powers against repeated convolution, over level shapes with an empty root,
 with singleton levels only, with uneven levels, and with Fibonacci levels.
-Products and powers of tables with values up to 10^30, with large
-denominators, and with every value at the same extreme (the slot bound of the
-packed kernel) are checked against the explicit sums too.
+Products, powers and inverses of tables with values up to 10^30, with large
+denominators, and with every value at the same extreme (the slot bounds of the
+packed kernel) are checked against the explicit sums and the recursion too.
 """
 
 import random
@@ -17,6 +17,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cobweb.incidence as incidence
 from cobweb import (
     IncidenceFunction,
     ReducedFunction,
@@ -240,21 +241,24 @@ def coefficient_product(seq, n, f, g):
     }
 
 
-def big_tables(spec, n, rng, magnitude, kind):
+def big_tables(spec, n, rng, magnitude, kind, diagonal=None):
     """A full and a reduced table on one shape: values up to ``magnitude`` with
     mixed signs, or Fractions with denominators up to ``magnitude``, or every
     value equal to ``magnitude``, which may be negative (a product of two such
-    tables then comes close to the slot bound)."""
+    tables then comes close to the slot bound).  With ``diagonal``, each
+    diagonal value is drawn from it instead."""
 
-    def value():
+    def value(pair):
+        if diagonal and pair[0] == pair[1]:
+            return rng.choice(diagonal)
         if kind == "extreme":
             return magnitude
         v = rng.randint(-magnitude, magnitude)
         return Fraction(v, rng.randint(1, magnitude)) if kind == "fraction" else v
 
     p, seq = POSETS[spec], make_sequence(spec, n)
-    full = IncidenceFunction(p, {pair: value() for pair in p.comparable_pairs()})
-    red = ReducedFunction(seq, n, {t: value() for t in rank_triangle(seq, n)})
+    full = IncidenceFunction(p, {pair: value(pair) for pair in p.comparable_pairs()})
+    red = ReducedFunction(seq, n, {t: value(t) for t in rank_triangle(seq, n)})
     return full, red
 
 
@@ -309,3 +313,64 @@ def test_products_at_the_slot_bound(spec, n):
             assert_matches_oracle(f.convolve(f), product(f.values, f.values))
             assert_matches_oracle(g.convolve(f), product(g.values, f.values))
             assert_matches_oracle(z.convolve(f), product(z.values, f.values))
+
+
+@given(shapes, st.sampled_from(DIAGONALS), kinds, magnitudes, seeds)
+@settings(max_examples=40, deadline=None)
+def test_big_value_inverses_match_fraction_oracle(shape, diagonal, kind, magnitude, seed):
+    spec, n = shape
+    # "extreme" makes every strict value -magnitude: under a positive diagonal
+    # the inverse then counts weighted chains, its entries all of one sign
+    sign = -1 if kind == "extreme" else 1
+    f, r = big_tables(spec, n, random.Random(seed), sign * magnitude, kind, diagonal)
+    assert_matches_oracle(f.invert(), oracle_full_inverse(f))
+    assert_matches_oracle(r.invert(), oracle_reduced_inverse(r))
+
+
+# diagonals of one sign or of both, unit or not, under strict values all -M: the
+# inverses come as close to the slot bound (the product over the ranks above a
+# row of 1 + M F_r) as tables do; M grows by a quarter bit at a time, so the
+# bound's bit length meets every slot-width boundary several times
+BOUND_DIAGONALS = ((1,), (-1,), (2,), (-3,), (1, -1), (2, -3))
+BOUND_MAGNITUDES = sorted({round(2 ** (j / 4)) for j in range(4 * 32)})
+
+
+@pytest.mark.parametrize("spec,n", SHAPES)
+def test_inverses_near_the_slot_bound(spec, n):
+    p, seq = POSETS[spec], make_sequence(spec, n)
+    deltas = (standard_full("delta", p), standard_reduced("delta", seq, n))
+    rng = random.Random(n)
+    for diagonal in BOUND_DIAGONALS:
+        for magnitude in BOUND_MAGNITUDES:
+            tables = big_tables(spec, n, rng, -magnitude, "extreme", diagonal)
+            for table, delta in zip(tables, deltas):
+                inv = table.invert()
+                assert list(inv.values) == list(table.values)
+                assert table * inv == delta, (diagonal, magnitude)
+                assert_exact(inv)
+
+
+def test_inexact_row_division_raises(monkeypatch):
+    """With the per-rank lcm made 1, a row denominator no longer clears its row:
+    the first inexact numerator, in canonical pair order, is named."""
+    p = POSETS["fibonacci"]
+    rng = random.Random(3)
+    f = IncidenceFunction(p, {
+        (x, y): rng.choice((2, -3)) if x == y else rng.randint(-4, 4) for x, y in p.comparable_pairs()
+    })
+
+    def first_inexact():
+        for a in p.vertices:
+            row = {a: 1}
+            for b in (b for b in p.vertices if b.s > a.s):
+                num = -sum(row[c] * f(c, b) for c in p.segment(a, b)[:-1])
+                if num % f(b, b):
+                    return f"inexact row numerator: {num} mod {f(b, b)} is {num % f(b, b)}"
+                row[b] = num // f(b, b)
+
+    want = first_inexact()
+    assert want is not None
+    monkeypatch.setattr(incidence, "lcm", lambda *args: 1)
+    with pytest.raises(ArithmeticError) as exc:
+        f.invert()
+    assert str(exc.value) == want

@@ -66,6 +66,13 @@ def test_negative_max_level():
         make_sequence("fibonacci", -1)
 
 
+@pytest.mark.parametrize("spec", ["fibonacci", "naturals", "constant:2", "custom:1,2"])
+def test_max_level_guard_boundary(spec):
+    assert make_sequence(spec, 0).values == (1,)
+    with pytest.raises(ValueError, match=r"^max level must be >= 0, got -1$"):
+        make_sequence(spec, -1)
+
+
 def test_value_at_and_range():
     seq = make_sequence("fibonacci", 4)
     assert seq.value_at(3) == 3
